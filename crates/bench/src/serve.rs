@@ -59,8 +59,7 @@ use isa_grid::{
     DomainId, DomainSpec, GateSpec, GridLayout, Pcu, PcuConfig, SHOOTDOWN_DEADLINE_POLLS,
 };
 use isa_obs::{
-    AuditRecord, Counters, Histogram, Json, ProfSink, ReqTracer, RunProfile, TimeSeries, ToJson,
-    TraceEvent,
+    AuditRecord, Counters, Histogram, Json, Obs, RunProfile, TimeSeries, ToJson, TraceEvent,
 };
 pub use isa_obs::{TraceCollector, TraceMode, TracePolicy, TraceReport};
 use isa_replay::wire::KIND_SERVE;
@@ -923,7 +922,7 @@ fn build_smp(cfg: &ServeConfig, prog: &Program) -> (Smp, Vec<DomainId>) {
     m0.set_bbcache(true);
     m0.set_jit(cfg.jit);
     if cfg.profile {
-        m0.set_profiler(ProfSink::enabled(0));
+        m0.set_obs(Obs::off().with_profile(0));
     }
     machines.push(m0);
     for h in 1..cfg.harts {
@@ -936,11 +935,22 @@ fn build_smp(cfg: &ServeConfig, prog: &Program) -> (Smp, Vec<DomainId>) {
         m.set_bbcache(true);
         m.set_jit(cfg.jit);
         if cfg.profile {
-            m.set_profiler(ProfSink::enabled(h));
+            m.set_obs(Obs::off().with_profile(h));
         }
         machines.push(m);
     }
     (Smp::from_machines(machines), tenant_doms)
+}
+
+/// Subscribe every hart's request buffer, keeping any profile. The
+/// buffers are `Rc`-backed, per hart and unshared, so they add no
+/// synchronization to the bus; the driver drains them at round
+/// boundaries.
+fn observe_requests(sess: &mut SmpSession) {
+    for h in 0..sess.smp().harts() {
+        let m = sess.smp_mut().machine_mut(h);
+        m.set_obs(m.obs().with_requests());
+    }
 }
 
 /// Host-side hooks into the serving loop: snapshotting, the
@@ -1060,10 +1070,9 @@ struct ServeState {
     restores: u64,
     oracle_checks: u64,
     divergences: u64,
-    /// Per-hart request tracers (empty when tracing is off). Each is a
-    /// handle into the hart's private span buffer; the driver tags it
-    /// with the in-flight request and drains it after every round.
-    tracers: Vec<ReqTracer>,
+    /// Host seconds stepped by the sessions that restores replaced;
+    /// carried across a restore like the tallies above.
+    host_secs: f64,
     /// Assembles drained events into span trees and tail-samples them.
     collector: TraceCollector,
 }
@@ -1118,13 +1127,11 @@ impl ServeState {
             }
         }
 
-        // Tracers go in after boot: boot has no requests to attribute
-        // (and no rotations, so no acks are lost either).
-        let tracers = if cfg.trace != TraceMode::Off {
-            sess.install_req_tracers()
-        } else {
-            Vec::new()
-        };
+        // Request buffers go in after boot: boot has no requests to
+        // attribute (and no rotations, so no acks are lost either).
+        if cfg.trace != TraceMode::Off {
+            observe_requests(&mut sess);
+        }
 
         let mut gen = Generator::new(cfg);
         let next_arrival = gen.next();
@@ -1160,7 +1167,7 @@ impl ServeState {
             restores: 0,
             oracle_checks: 0,
             divergences: 0,
-            tracers,
+            host_secs: 0.0,
             collector: TraceCollector::new(cfg.trace_policy()),
             cfg: cfg.clone(),
         }
@@ -1236,7 +1243,7 @@ impl ServeState {
         }
         // Trace state rides at the tail. Snapshots fire at round
         // boundaries, right after the per-round drain, so the hart
-        // tracers' buffers are empty — only the collector (open trees,
+        // request buffers are empty — only the collector (open trees,
         // kept trees, exemplars, flow endpoints) needs to travel.
         e.words(&self.service.export_words());
         e.words(&self.collector.export_words());
@@ -1352,24 +1359,21 @@ impl ServeState {
         collector.import_words(&d.words()?);
         d.finish()?;
 
-        // Rebuild the per-hart tracers and re-tag each with the request
-        // its hart was serving at the snapshot (tag state is host-side,
-        // not in the machine image).
-        let tracers = if cfg.trace != TraceMode::Off {
-            let tracers = sess.install_req_tracers();
+        // Rebuild the per-hart request buffers and re-tag each with the
+        // request its hart was serving at the snapshot (tag state is
+        // host-side, not in the machine image).
+        if cfg.trace != TraceMode::Off {
+            observe_requests(&mut sess);
             for (h, slot) in inflight.iter().enumerate() {
                 if let Some(req) = slot {
-                    tracers[h].set_current(trace_id(req));
+                    sess.smp().machine(h).obs().set_current(trace_id(req));
                 }
             }
-            tracers
-        } else {
-            Vec::new()
-        };
+        }
 
         let m0 = sess.smp().machine(0);
         let at = sess.vclock();
-        m0.trace.emit(|| TraceEvent::Restore {
+        m0.obs().emit(|| TraceEvent::Restore {
             at,
             digest: state_digest(&snap),
         });
@@ -1415,7 +1419,7 @@ impl ServeState {
             restores: 1,
             oracle_checks: 0,
             divergences: 0,
-            tracers,
+            host_secs: 0.0,
             collector,
         })
     }
@@ -1450,14 +1454,14 @@ impl ServeState {
                 self.sess
                     .smp()
                     .machine(0)
-                    .trace
+                    .obs()
                     .emit(|| TraceEvent::Snapshot {
                         at,
                         digest: state_digest(&snap),
                     });
             }
             // Periodic checkpoint into the bounded recovery ring (round
-            // boundary, tracers drained — same point the one-shot
+            // boundary, request buffers drained — same point the one-shot
             // snapshot hook uses).
             if self.cfg.checkpoint_every > 0 && self.progress() >= self.recovery.next_checkpoint {
                 self.take_checkpoint();
@@ -1547,9 +1551,7 @@ impl ServeState {
                             }
                         }
                     }
-                    if let Some(tr) = self.tracers.get(h) {
-                        tr.set_current(0);
-                    }
+                    self.obs(h).set_current(0);
                     self.collector
                         .finish(trace_id(&req), now, latency, service, db == 3);
                     self.bus.write_u64(base + MB_DOORBELL as u64, 0);
@@ -1614,9 +1616,7 @@ impl ServeState {
                                 value: 1,
                             });
                         }
-                        if let Some(tr) = self.tracers.get(h) {
-                            tr.set_current(trace_id(&req));
-                        }
+                        self.obs(h).set_current(trace_id(&req));
                         self.collector.begin(
                             trace_id(&req),
                             req.tenant as u16,
@@ -1682,7 +1682,7 @@ impl ServeState {
             // event timestamp translates to global virtual time as
             // `round-start vclock + (event cycle - base)` — the offset
             // is the modeled time the hart spent inside the round.
-            let cycle_base: Vec<u64> = if self.tracers.is_empty() {
+            let cycle_base: Vec<u64> = if self.cfg.trace == TraceMode::Off {
                 Vec::new()
             } else {
                 (0..self.cfg.harts)
@@ -1690,7 +1690,7 @@ impl ServeState {
                     .collect()
             };
             self.sess.round(|h| mask >> h & 1 == 1);
-            self.drain_tracers(now, &cycle_base);
+            self.drain_requests(now, &cycle_base);
             if let Some(mut spec) = oracle {
                 spec.replay_round(mask, self.cfg.quantum);
                 out.oracle_checks += 1;
@@ -1703,7 +1703,7 @@ impl ServeState {
                     self.sess
                         .smp()
                         .machine(0)
-                        .trace
+                        .obs()
                         .emit(|| TraceEvent::Divergence {
                             pc: d.pc,
                             step: d.step,
@@ -1782,7 +1782,7 @@ impl ServeState {
     }
 
     /// Capture a checkpoint into the recovery ring (round boundary,
-    /// tracers drained) and advance the cadence bookkeeping.
+    /// request buffers drained) and advance the cadence bookkeeping.
     fn take_checkpoint(&mut self) {
         let progress = self.progress();
         let frame = self.snapshot_bytes();
@@ -1796,7 +1796,7 @@ impl ServeState {
         self.sess
             .smp()
             .machine(0)
-            .trace
+            .obs()
             .emit(|| TraceEvent::Snapshot { at, digest });
     }
 
@@ -1864,7 +1864,7 @@ impl ServeState {
         m0.ext
             .update_domain(&mut m0.bus, dom, &DomainSpec::deny_all());
         let t = tenant as u64;
-        m0.trace.emit(|| TraceEvent::Quarantine {
+        m0.obs().emit(|| TraceEvent::Quarantine {
             tenant: t,
             domain: dom.0,
         });
@@ -1984,6 +1984,7 @@ impl ServeState {
                     fresh.restores += self.restores;
                     fresh.oracle_checks += self.oracle_checks;
                     fresh.divergences += self.divergences;
+                    fresh.host_secs += self.host_secs();
                     fresh.recovery.recoveries += 1;
                     fresh.recovery.retry_count += fresh.inflight.iter().flatten().count() as u64;
                     fresh.recovery.spans.push(RecoverySpan {
@@ -2024,9 +2025,7 @@ impl ServeState {
             if let Some(req) = self.inflight[h].take() {
                 self.dispatched_round[h] = None;
                 self.quarantine(req.tenant);
-                if let Some(tr) = self.tracers.get(h) {
-                    tr.set_current(0);
-                }
+                self.obs(h).set_current(0);
                 self.resolve_host(&req, STATUS_ABORTED);
             }
         }
@@ -2042,13 +2041,24 @@ impl ServeState {
         }
     }
 
-    /// Drain every hart tracer's round-local events into the
+    /// Hart `h`'s observation handle.
+    fn obs(&self, h: usize) -> &Obs {
+        self.sess.smp().machine(h).obs()
+    }
+
+    /// Host seconds spent stepping, across every restore.
+    fn host_secs(&self) -> f64 {
+        self.host_secs + self.sess.host_secs()
+    }
+
+    /// Drain every hart's round-local request events into the
     /// collector, translating hart-local cycle timestamps into the
     /// global virtual clock (the round started at `vclock` with hart
-    /// `h`'s cycle counter at `base[h]`).
-    fn drain_tracers(&mut self, vclock: u64, base: &[u64]) {
-        for (h, (tr, b)) in self.tracers.iter().zip(base).enumerate() {
-            for ev in tr.drain() {
+    /// `h`'s cycle counter at `base[h]`; `base` is empty when request
+    /// tracing is off).
+    fn drain_requests(&mut self, vclock: u64, base: &[u64]) {
+        for (h, b) in base.iter().enumerate() {
+            for ev in self.sess.smp().machine(h).obs().drain_requests() {
                 let t = vclock + ev.t.saturating_sub(*b);
                 self.collector.ingest(h, ev.id, t, ev.ev);
             }
@@ -2086,8 +2096,8 @@ impl ServeState {
         counters.run.retries += self.recovery.retry_count;
         counters.run.sheds += self.shed;
         counters.run.recoveries += self.recovery.recoveries;
-        for tr in &self.tracers {
-            let (emitted, dropped) = tr.counts();
+        for h in 0..self.cfg.harts {
+            let (emitted, dropped) = self.obs(h).request_counts();
             self.collector.absorb_tracer_counts(emitted, dropped);
         }
         let quarantined: Vec<u64> = self
@@ -2103,6 +2113,7 @@ impl ServeState {
         for &t in &quarantined {
             decision_digest ^= record_digest(u64::MAX, t, 0, STATUS_REJECTED, 0);
         }
+        let host_secs = self.host_secs();
         let recovery = RecoveryReport {
             quarantined,
             failures: self.recovery.failures.clone(),
@@ -2134,7 +2145,7 @@ impl ServeState {
             counters,
             audit,
             total_steps,
-            host_secs: self.sess.host_secs(),
+            host_secs,
             profiles,
             shed: self.shed,
             recovery,
@@ -2421,6 +2432,22 @@ mod tests {
             "every request attributed to a tenant"
         );
         assert!(o.counters.smp.shootdowns > 0, "rotations publish");
+    }
+
+    #[test]
+    fn host_secs_survive_a_restore() {
+        let mut cfg = ServeConfig::new(4, 200, 2, 9);
+        cfg.checkpoint_every = 64;
+        let mut st = ServeState::new(&cfg);
+        st.drive(&ServeHooks::default());
+        let before = st.host_secs();
+        assert!(before > 0.0);
+        st.restore_latest();
+        assert_eq!(st.recovery.recoveries, 1, "one restore forced");
+        assert!(st.progress() < cfg.requests, "the restore rewound");
+        assert!(st.host_secs() >= before, "restore dropped host time");
+        st.drive(&ServeHooks::default());
+        assert!(st.finish().host_secs >= before);
     }
 
     #[test]

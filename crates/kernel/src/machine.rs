@@ -195,12 +195,10 @@ impl SimBuilder {
         m.set_jit(self.jit);
         m.timer_every = self.timer_every;
         if let Some(cap) = self.trace_events {
-            let sink = isa_obs::TraceSink::ring(cap);
-            m.set_tracer(sink.clone());
-            m.ext.set_tracer(sink);
+            m.set_obs(m.obs().with_ring(cap));
         }
         if self.profile {
-            m.set_profiler(isa_obs::ProfSink::enabled(0));
+            m.set_obs(m.obs().with_profile(0));
         }
         if let Some(t) = self.platform.timing() {
             m = m.with_timing(Box::new(PipelineModel::new(t)));
@@ -588,25 +586,20 @@ impl Sim {
         }
         c.run.steps = self.machine.steps;
         c.run.traps = self.machine.trap_counts.values().sum();
-        if let Some(bb) = &self.machine.bbcache {
-            c.bbcache = bb.stats.counters();
-        }
-        if let Some(jit) = &self.machine.jit {
-            c.jit = jit.stats.counters();
-        }
+        self.machine.add_cache_counters(&mut c);
         c
     }
 
     /// The trace events recorded so far (empty unless the builder
     /// enabled [`SimBuilder::trace_events`]).
     pub fn trace_events(&self) -> Vec<isa_obs::TimedEvent> {
-        self.machine.trace.snapshot()
+        self.machine.obs().events()
     }
 
     /// Drain the machine's profile, closing any open span. `None`
     /// unless the builder enabled [`SimBuilder::profile`].
     pub fn take_profile(&mut self) -> Option<isa_obs::Profile> {
-        self.machine.prof.take()
+        self.machine.obs().take_profile()
     }
 
     /// The PCU's audit log of denied checks.

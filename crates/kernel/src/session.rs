@@ -273,15 +273,6 @@ impl SmpSession {
             .read_raw(isa_sim::csr::addr::CYCLE)
     }
 
-    /// Install one enabled request tracer per hart and return the
-    /// handles, in hart order. The driver tags each handle with the
-    /// request in flight and drains it at round boundaries; tracers
-    /// are observe-only (they never change modeled cycles, the
-    /// interleaver, or digests).
-    pub fn install_req_tracers(&mut self) -> Vec<isa_obs::ReqTracer> {
-        self.smp.install_req_tracers()
-    }
-
     /// Advance every hart selected by `runnable` one quantum, in
     /// ascending hart order, then bump the virtual clock. Harts that
     /// have halted are skipped regardless of `runnable`; a hart that
@@ -327,12 +318,7 @@ impl SmpSession {
         let host_secs = self.host_secs;
         let m = self.smp.machine_mut(h);
         let mut counters = m.ext.counters();
-        if let Some(bb) = &m.bbcache {
-            counters.bbcache = bb.stats.counters();
-        }
-        if let Some(jit) = &m.jit {
-            counters.jit = jit.stats.counters();
-        }
+        m.add_cache_counters(&mut counters);
         counters.run.steps = m.steps;
         let cycles = m.cpu.csrs.read_raw(isa_sim::csr::addr::CYCLE);
         Completion {
@@ -341,7 +327,7 @@ impl SmpSession {
             cycles,
             steps: m.steps,
             audit: m.ext.take_audit(),
-            profile: m.prof.take(),
+            profile: m.obs().take_profile(),
             host_secs,
             counters,
         }

@@ -5,12 +5,12 @@
 //! hits, gate switches, cycle attribution. This crate is the single
 //! substrate those counts flow through:
 //!
+//! * [`Obs`] — the one observation seam: a cloneable per-hart handle
+//!   with an inline enable mask over three subscribers (event ring,
+//!   profile, request buffer), shared by the simulator and the PCU.
 //! * [`TraceEvent`] — a structured event taxonomy (retire, check
 //!   verdict, cache hit/miss/flush, gate call/return, domain switch,
 //!   trap, trusted-memory fence) recorded into a bounded [`EventRing`].
-//! * [`Tracer`] — the recording trait; [`NullTracer`] is the zero-cost
-//!   disabled form and [`TraceSink`] the cheaply-cloneable shared handle
-//!   the simulator and the PCU both emit into.
 //! * [`Counters`] — one snapshot struct subsuming the cache / check /
 //!   gate / timing / run tallies that previously lived in four ad-hoc
 //!   types; [`Counters::entries`] flattens it into a registry of
@@ -19,7 +19,7 @@
 //!   parser, for reading saved profiles back) so run reports and bench
 //!   tables can be emitted machine-readable (the environment cannot
 //!   fetch serde, so this is hand-rolled).
-//! * [`Profile`] / [`ProfSink`] — the profiling layer: log-bucketed
+//! * [`Profile`] — the profiling layer: log-bucketed
 //!   [`Histogram`]s, [`Span`] timelines, a [`TimeSeries`] recorder, and
 //!   per-hart cycle attribution by (domain, privilege level), plus the
 //!   [`AuditLog`] of denied checks the PCU keeps and the
@@ -30,6 +30,7 @@
 mod counters;
 mod event;
 mod json;
+mod obs;
 mod perfetto;
 mod prof;
 mod ring;
@@ -41,13 +42,14 @@ pub use counters::{
 };
 pub use event::{CacheKind, CheckKind, TimedEvent, TraceEvent};
 pub use json::{Json, ToJson};
+pub use obs::Obs;
 pub use perfetto::{ProfileReport, RunProfile, TraceReport};
 pub use prof::{
-    AuditKind, AuditLog, AuditRecord, DomainCycles, Histogram, OpClass, ProfSink, Profile, Span,
-    SpanKind, StepClass, StepSample, TimeSeries, AUDIT_CAP,
+    AuditKind, AuditLog, AuditRecord, DomainCycles, Histogram, OpClass, Profile, Span, SpanKind,
+    StepClass, StepSample, TimeSeries, AUDIT_CAP,
 };
-pub use ring::{EventRing, NullTracer, RingTracer, TraceSink, Tracer};
+pub use ring::EventRing;
 pub use trace::{
-    DeoptReason, Exemplars, HartEvent, ReqEvent, ReqTrace, ReqTracer, Segment, TelemetryStats,
-    TraceCollector, TraceId, TraceMode, TracePolicy,
+    DeoptReason, Exemplars, HartEvent, ReqEvent, ReqTrace, Segment, TelemetryStats, TraceCollector,
+    TraceId, TraceMode, TracePolicy,
 };

@@ -2,16 +2,13 @@
 //! interval-sliced time series, per-hart profiles, and the structured
 //! audit record the PCU emits on every denied check.
 //!
-//! The design mirrors the trace layer: a [`ProfSink`] is a cheaply
-//! cloneable handle to a shared [`Profile`] — or to nothing. The
-//! disabled sink costs one `Option` discriminant branch per retired
-//! instruction and never constructs the sample, so profiling adds zero
-//! modeled cycles and (when off) near-zero host time. Sinks observe the
-//! machine; they never perturb it.
+//! A [`Profile`] is the storage of the [`Obs`](crate::Obs) profile
+//! subscriber. When that subscriber is off, the handle costs one bit
+//! test per retired instruction and never constructs the sample, so
+//! profiling adds zero modeled cycles and (when off) near-zero host
+//! time. Subscribers observe the machine; they never perturb it.
 
-use std::cell::RefCell;
 use std::collections::BTreeMap;
-use std::rc::Rc;
 
 use crate::json::{Json, ToJson};
 
@@ -495,7 +492,7 @@ const DEFAULT_SPAN_CAP: usize = 1 << 16;
 /// The profile owns a cumulative cycle clock (`cycles()`): each
 /// recorded step advances it by the step's modeled cycles, and domain
 /// residency spans are derived inline whenever the domain changes.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct Profile {
     /// Hart the profile belongs to.
     pub hart: usize,
@@ -737,61 +734,6 @@ impl ToJson for Profile {
             ("series", self.series.to_json()),
             ("spans_dropped", Json::U64(self.spans_dropped)),
         ])
-    }
-}
-
-/// Cheaply-cloneable handle to a shared [`Profile`] — or to nothing.
-///
-/// Mirrors [`TraceSink`](crate::TraceSink): the disabled sink carries
-/// no profile, `is_enabled()` is one `Option` discriminant test, and
-/// [`ProfSink::record`] never constructs the sample when disabled.
-#[derive(Debug, Clone, Default)]
-pub struct ProfSink(Option<Rc<RefCell<Profile>>>);
-
-impl ProfSink {
-    /// The disabled sink (records nothing, costs one branch).
-    pub fn off() -> Self {
-        ProfSink(None)
-    }
-
-    /// An enabled sink backed by a fresh profile for `hart`.
-    pub fn enabled(hart: usize) -> Self {
-        ProfSink(Some(Rc::new(RefCell::new(Profile::new(hart)))))
-    }
-
-    /// Whether this sink records samples.
-    #[inline]
-    pub fn is_enabled(&self) -> bool {
-        self.0.is_some()
-    }
-
-    /// Record the sample built by `f`; `f` is not called when disabled.
-    #[inline]
-    pub fn record(&self, f: impl FnOnce() -> StepSample) {
-        if let Some(p) = &self.0 {
-            p.borrow_mut().record_step(f());
-        }
-    }
-
-    /// Take the accumulated profile (closing its open span), leaving a
-    /// fresh one in place. `None` when disabled.
-    pub fn take(&self) -> Option<Profile> {
-        self.0.as_ref().map(|p| {
-            let hart = p.borrow().hart;
-            let mut out = std::mem::replace(&mut *p.borrow_mut(), Profile::new(hart));
-            out.finish();
-            out
-        })
-    }
-
-    /// Clone out the profile so far (with its open span closed).
-    /// `None` when disabled.
-    pub fn snapshot(&self) -> Option<Profile> {
-        self.0.as_ref().map(|p| {
-            let mut out = p.borrow().clone();
-            out.finish();
-            out
-        })
     }
 }
 
@@ -1121,27 +1063,27 @@ mod tests {
 
     #[test]
     fn disabled_sink_never_builds_samples() {
-        let sink = ProfSink::off();
+        let obs = crate::Obs::off();
         let mut built = false;
-        sink.record(|| {
+        obs.record(|| {
             built = true;
             sample(0, 1, StepClass::default())
         });
         assert!(!built);
-        assert!(sink.take().is_none());
+        assert!(obs.take_profile().is_none());
     }
 
     #[test]
     fn sink_take_resets_and_closes_span() {
-        let sink = ProfSink::enabled(2);
-        sink.record(|| sample(1, 8, StepClass::default()));
-        let p = sink.take().unwrap();
+        let obs = crate::Obs::off().with_profile(2);
+        obs.record(|| sample(1, 8, StepClass::default()));
+        let p = obs.take_profile().unwrap();
         assert_eq!(p.hart, 2);
         assert_eq!(p.cycles(), 8);
         assert_eq!(p.spans().len(), 1);
-        let p2 = sink.take().unwrap();
+        let p2 = obs.take_profile().unwrap();
         assert_eq!(p2.cycles(), 0);
-        assert!(sink.is_enabled());
+        assert!(obs.has(crate::Obs::PROFILE));
     }
 
     #[test]

@@ -228,6 +228,12 @@ pub trait Extension {
         Err(Exception::IllegalInst(d.raw as u64))
     }
 
+    /// Observe through `obs`, a clone of the machine's own handle
+    /// ([`Machine::set_obs`]); the default ignores it.
+    fn set_obs(&mut self, obs: isa_obs::Obs) {
+        let _ = obs;
+    }
+
     /// Drain the events accumulated during the current step.
     fn drain_events(&mut self) -> ExtEvents {
         ExtEvents::default()
@@ -491,26 +497,14 @@ pub struct Machine<E: Extension> {
     /// diagnosis state, deliberately *not* serialized into snapshots:
     /// a restored machine starts unclassified.
     last_trap_cause: Option<u64>,
-    /// Trace-event sink for the observability layer; disabled by
-    /// default. Share a clone with the extension so its events
-    /// interleave with retire events in commit order.
-    pub trace: isa_obs::TraceSink,
-    /// Profiling sink attributing committed cycles to (hart, privilege
-    /// level, ISA domain) and feeding the latency histograms; disabled
-    /// by default. Like the trace sink, it only observes the step — a
-    /// disabled sink costs one branch and profiling never changes
-    /// modeled cycles.
-    pub prof: isa_obs::ProfSink,
+    /// The hart's observation handle (event ring, profile, request
+    /// buffer); off by default. The extension holds a clone of the
+    /// same handle, installed by [`Machine::set_obs`].
+    pub(crate) obs: isa_obs::Obs,
     /// Predecoded basic-block cache; `None` runs the uncached
     /// translate-and-decode path every step (the `--no-bbcache`
     /// escape hatch).
     pub bbcache: Option<Box<crate::bbcache::BbCache>>,
-    /// Request-scoped event tracer (gate entry/exit, denials,
-    /// shootdown acks, JIT deopts), tagged with the trace ID the serve
-    /// driver set; disabled by default. Observe-only like the other
-    /// sinks — and unlike them it does *not* force the per-step path,
-    /// so the JIT stays on under request tracing.
-    pub rtrace: isa_obs::ReqTracer,
     /// Superblock JIT compiled over the bbcache; `None` leaves
     /// [`Machine::run_steps`] on the per-instruction dispatch loop (the
     /// `--no-jit` escape hatch, and always when the bbcache is off).
@@ -547,9 +541,7 @@ impl<E: Extension> Machine<E> {
             timer_phase: 0,
             trap_counts: std::collections::BTreeMap::new(),
             last_trap_cause: None,
-            trace: isa_obs::TraceSink::off(),
-            prof: isa_obs::ProfSink::off(),
-            rtrace: isa_obs::ReqTracer::off(),
+            obs: isa_obs::Obs::off(),
             bbcache: Some(Box::new(crate::bbcache::BbCache::new())),
             jit: Some(Box::new(crate::jit::Jit::new())),
             jit_enabled: true,
@@ -601,20 +593,27 @@ impl<E: Extension> Machine<E> {
         self
     }
 
-    /// Route retire/trap trace events into `sink`.
-    pub fn set_tracer(&mut self, sink: isa_obs::TraceSink) {
-        self.trace = sink;
+    /// Observe this hart through `obs`, and hand the extension a clone
+    /// so its events join the same stream in commit order.
+    pub fn set_obs(&mut self, obs: isa_obs::Obs) {
+        self.ext.set_obs(obs.clone());
+        self.obs = obs;
     }
 
-    /// Route per-step profiling samples into `sink`.
-    pub fn set_profiler(&mut self, sink: isa_obs::ProfSink) {
-        self.prof = sink;
+    /// Add this hart's bbcache and JIT tallies to `c` (nothing for a
+    /// cache or JIT that is off).
+    pub fn add_cache_counters(&self, c: &mut isa_obs::Counters) {
+        if let Some(bb) = &self.bbcache {
+            c.bbcache.merge(&bb.stats.counters());
+        }
+        if let Some(jit) = &self.jit {
+            c.jit.merge(&jit.stats.counters());
+        }
     }
 
-    /// Route request-scoped events (gate crossings, denials, shootdown
-    /// acks, JIT deopts) into `tracer`.
-    pub fn set_req_tracer(&mut self, tracer: isa_obs::ReqTracer) {
-        self.rtrace = tracer;
+    /// The hart's observation handle.
+    pub fn obs(&self) -> &isa_obs::Obs {
+        &self.obs
     }
 
     /// Load a program image into RAM and point the PC at its base.
@@ -697,7 +696,20 @@ impl<E: Extension> Machine<E> {
     /// retired-event record for the step, if an instruction was attempted.
     pub fn step(&mut self) -> Option<Retired> {
         self.steps += 1;
-        self.trace.set_step(self.steps);
+        if !self.obs.is_on() {
+            return self.exec_step().0;
+        }
+        // Tag the ring before the extension can emit into it.
+        self.obs.set_step(self.steps);
+        let (ev, cycles) = self.exec_step();
+        self.observe(ev.as_ref(), cycles);
+        ev
+    }
+
+    /// Run one step (or take one interrupt, for which it returns no
+    /// record) and charge its cycles, which it also returns.
+    #[inline]
+    fn exec_step(&mut self) -> (Option<Retired>, u64) {
         if let Some(n) = self.timer_every {
             self.timer_phase += 1;
             if self.timer_phase >= n {
@@ -709,24 +721,17 @@ impl<E: Extension> Machine<E> {
             self.take_interrupt(irq);
             let cycles = self.timing.interrupt();
             self.cpu.csrs.add_cycles(cycles);
-            self.prof.record(|| isa_obs::StepSample {
-                domain: self.ext.current_domain_id(),
-                priv_level: self.cpu.priv_level as u8,
-                cycles,
-                class: isa_obs::StepClass::default(),
-            });
-            return None;
+            return (None, cycles);
         }
 
         let pc = self.cpu.pc;
-        let priv_level = self.cpu.priv_level;
         let mut ev = Retired {
             pc,
             fetch_paddr: pc,
             next_pc: pc,
             kind: None,
             raw: 0,
-            priv_level,
+            priv_level: self.cpu.priv_level,
             mem: None,
             branch_taken: false,
             trap_cause: None,
@@ -748,23 +753,39 @@ impl<E: Extension> Machine<E> {
             }
         }
         ev.ext = self.ext.drain_events();
-        if self.trace.is_enabled() {
-            if let Some(cause) = ev.trap_cause {
-                self.trace.emit(|| isa_obs::TraceEvent::Trap { cause, pc });
-            }
-            self.trace.emit(|| isa_obs::TraceEvent::Retire {
-                pc,
-                raw: ev.raw,
-                domain: self.ext.current_domain_id(),
-                priv_level: priv_level as u8,
-                trapped: ev.trap_cause.is_some(),
-            });
-        }
         let cycles = self.timing.retire(&ev);
         self.cpu.csrs.add_cycles(cycles);
-        self.prof.record(|| isa_obs::StepSample {
-            domain: self.ext.current_domain_id(),
-            priv_level: priv_level as u8,
+        (Some(ev), cycles)
+    }
+
+    /// Hand one committed step to the subscribers: `ev` is `None` when
+    /// the step took an interrupt. Domains are read after the step, so
+    /// a gate's cycles land in its destination domain.
+    fn observe(&self, ev: Option<&Retired>, cycles: u64) {
+        let domain = self.ext.current_domain_id();
+        let Some(ev) = ev else {
+            self.obs.record(|| isa_obs::StepSample {
+                domain,
+                priv_level: self.cpu.priv_level as u8,
+                cycles,
+                class: isa_obs::StepClass::default(),
+            });
+            return;
+        };
+        if let Some(cause) = ev.trap_cause {
+            self.obs
+                .emit(|| isa_obs::TraceEvent::Trap { cause, pc: ev.pc });
+        }
+        self.obs.emit(|| isa_obs::TraceEvent::Retire {
+            pc: ev.pc,
+            raw: ev.raw,
+            domain,
+            priv_level: ev.priv_level as u8,
+            trapped: ev.trap_cause.is_some(),
+        });
+        self.obs.record(|| isa_obs::StepSample {
+            domain,
+            priv_level: ev.priv_level as u8,
             cycles,
             class: isa_obs::StepClass {
                 op: ev.kind.map_or(isa_obs::OpClass::System, Kind::op_class),
@@ -779,26 +800,25 @@ impl<E: Extension> Machine<E> {
                 trapped: ev.trap_cause.is_some(),
             },
         });
-        if self.rtrace.is_enabled()
+        if self.obs.has(isa_obs::Obs::REQUESTS)
             && (ev.ext.gate_switch || ev.ext.denied || ev.ext.shootdown_flushed > 0)
         {
-            self.rtrace_step(&ev);
+            self.observe_request(ev, domain);
         }
-        Some(ev)
     }
 
-    /// Request-tracer hook, run once per interpreted step when a tracer
-    /// is installed. Gate instructions are serializing and never
-    /// compile into superblocks, so every gate crossing passes through
-    /// here even with the JIT on; denials and shootdowns taken inside a
-    /// block surface on the first interpreted step after the deopt
-    /// (their `ExtEvents` flags stay pending until drained).
-    fn rtrace_step(&mut self, ev: &Retired) {
+    /// Request-buffer hook for an interpreted step that crossed a gate,
+    /// was denied, or absorbed a shootdown. Gate instructions are
+    /// serializing and never compile into superblocks, so every gate
+    /// crossing passes through here even with the JIT on; denials and
+    /// shootdowns taken inside a block surface on the first interpreted
+    /// step after the deopt (their `ExtEvents` flags stay pending until
+    /// drained).
+    fn observe_request(&self, ev: &Retired, domain: u16) {
         let t = self.cpu.csrs.read_raw(addr::CYCLE);
         if ev.ext.gate_switch {
-            let domain = self.ext.current_domain_id();
             let exit = ev.kind == Some(Kind::Hcrets);
-            self.rtrace.emit(t, || {
+            self.obs.emit_req(t, || {
                 if exit {
                     isa_obs::ReqEvent::GateExit { domain }
                 } else {
@@ -807,13 +827,13 @@ impl<E: Extension> Machine<E> {
             });
         }
         if ev.ext.denied {
-            self.rtrace.emit(t, || isa_obs::ReqEvent::Deny {
+            self.obs.emit_req(t, || isa_obs::ReqEvent::Deny {
                 cause: ev.ext.deny_cause,
                 detail: ev.ext.deny_detail,
             });
         }
         if ev.ext.shootdown_flushed > 0 {
-            self.rtrace.emit(t, || isa_obs::ReqEvent::ShootdownAck {
+            self.obs.emit_req(t, || isa_obs::ReqEvent::ShootdownAck {
                 flushes: ev.ext.shootdown_flushed,
                 epoch: ev.ext.shootdown_epoch,
             });

@@ -545,9 +545,9 @@ impl<E: Extension> Machine<E> {
     /// and stop strictly before `fuel` runs out or anything needs the
     /// interpreter. Returns the steps consumed.
     fn jit_run(&mut self, fuel: u64) -> u64 {
-        // Observability sinks want per-step events; leave the whole
-        // fast path to them.
-        if self.trace.is_enabled() || self.prof.is_enabled() {
+        // The ring and the profile want per-step records; leave the
+        // whole fast path to them.
+        if self.obs.pins_interpreter() {
             return 0;
         }
         // Never enter a block while an interrupt is deliverable (the
@@ -663,9 +663,9 @@ impl<E: Extension> Machine<E> {
                 let reason = exit.reason.unwrap_or(DeoptReason::Trap);
                 jit.stats.deopts += 1;
                 jit.stats.note(reason);
-                if self.rtrace.is_enabled() {
+                if self.obs.has(isa_obs::Obs::REQUESTS) {
                     let t = self.cpu.csrs.read_raw(crate::csr::addr::CYCLE);
-                    self.rtrace.emit(t, || isa_obs::ReqEvent::Deopt { reason });
+                    self.obs.emit_req(t, || isa_obs::ReqEvent::Deopt { reason });
                 }
                 break;
             }

@@ -13,6 +13,9 @@
 //!    measured latency.
 //! 4. **Snapshot seam** — a run resumed from a mid-run snapshot keeps
 //!    the same trees and exemplars as the unbroken run.
+//! 5. **One handle, independent subscribers** — a hart's profile and
+//!    request buffer share one observation handle, yet each records
+//!    exactly what it records alone.
 
 use std::collections::BTreeSet;
 
@@ -270,4 +273,27 @@ fn deopt_reasons_and_gate_events_populate_trees() {
     assert!(!o.trace.acks().is_empty(), "harts acknowledge");
     let epochs: BTreeSet<u64> = o.trace.publishes().iter().map(|(e, _)| *e).collect();
     assert!(o.trace.acks().iter().any(|(e, _, _)| epochs.contains(e)));
+}
+
+#[test]
+fn profile_and_request_subscribers_share_one_handle_independently() {
+    // JIT off: the profile pins the interpreter, so only then do all
+    // three runs take the same path.
+    let run = |profile: bool, mode: TraceMode| {
+        let mut c = cfg(240, 2, 17, mode);
+        c.jit = false;
+        c.profile = profile;
+        serve::run(&c)
+    };
+    let prof_only = run(true, TraceMode::Off);
+    let trace_only = run(false, TraceMode::Full);
+    let both = run(true, TraceMode::Full);
+
+    assert_eq!(prof_only.digest, trace_only.digest);
+    assert_eq!(prof_only.digest, both.digest);
+    let harts = |o: &serve::ServeOutcome| o.profiles[0].profiles.clone();
+    assert_eq!(harts(&both).len(), 2);
+    assert_eq!(harts(&both), harts(&prof_only), "per-hart profiles");
+    assert!(!both.trace.kept().is_empty());
+    assert_eq!(both.trace.kept(), trace_only.trace.kept(), "kept trees");
 }
